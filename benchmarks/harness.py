@@ -10,7 +10,7 @@ harness runnable without installing the package::
 writes ``BENCH_<pr>.json`` (default: in the current directory) and
 prints the human-readable summary.  Validate the output with::
 
-    python scripts/check_bench_schema.py BENCH_7.json
+    python scripts/check_schema.py bench BENCH_7.json
 """
 
 from __future__ import annotations

@@ -156,8 +156,8 @@ def simulate(
         config: a fully-built :class:`SimulationConfig`; overrides every
             other configuration argument.
         **config_overrides: extra :class:`SimulationConfig` fields
-            (``trace=True``, ``telemetry=True``, ``spans=True``,
-            ``cpu_mips=50.0``, ``logical_updates=True``, ...).
+            (``telemetry=True``, ``spans=True``, ``cpu_mips=50.0``,
+            ``logical_updates=True``, ...).
 
     Returns:
         A :class:`SimulationOutcome`; ``outcome.clean`` asserts the

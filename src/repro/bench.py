@@ -19,7 +19,7 @@ testbed substrate:
 
 :func:`run_harness` produces a plain-JSON payload that validates
 against ``schemas/bench.schema.json`` (enforced by
-``scripts/check_bench_schema.py`` and ``tests/test_spans.py``);
+``scripts/check_schema.py bench`` and ``tests/test_spans.py``);
 :func:`write_bench` writes it to ``BENCH_<pr>.json``.  Each repeat
 builds a fresh system and the *best* wall time is kept -- the standard
 way to suppress scheduler noise on shared CI runners.  Every simulated

@@ -15,11 +15,11 @@ Commands:
 * ``report``      -- regenerate the full report (tables + CSV + REPORT.md);
 * ``metrics``     -- telemetry report for one instrumented testbed run
   (quantile tables, checkpoint phase timings, abort taxonomy, or JSON);
-* ``trace``       -- event-trace export/summary for one run, or for a
-  previously exported JSONL file; ``--attribution`` adds the
-  checkpoint-stall decomposition of tail latency (span-recorded run),
-  ``--chrome-out`` exports the spans as Chrome-trace JSON for
-  Perfetto / ``chrome://tracing``;
+* ``trace``       -- span summary/export for one run (lifecycle events,
+  transaction and checkpoint spans), or for a previously exported JSONL
+  file; ``--attribution`` adds the checkpoint-stall decomposition of
+  tail latency, ``--chrome-out`` exports the spans as Chrome-trace JSON
+  for Perfetto / ``chrome://tracing``;
 * ``bench``       -- the canonical perf harness: engine events/sec,
   simulated txns/sec, recovery replay rate, sweep wall-clock, written
   as the schema-validated ``BENCH_<n>.json`` trajectory point;
@@ -32,7 +32,7 @@ Commands:
   against an algorithm list.
 
 Sweep-backed commands (``figures``, ``validate``, ...) also accept
-``--trace-out PATH`` (JSONL stream of per-cell completion events) and
+``--trace-out PATH`` (JSONL export of per-cell completion spans) and
 ``--verbose`` (per-cell progress lines on stderr).
 """
 
@@ -43,6 +43,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, List, Optional
@@ -52,8 +53,8 @@ from .checkpoint.scheduler import CheckpointPolicy
 from .faults.plan import CRASH_PHASES
 from .model.evaluate import evaluate
 from .obs.presets import PRESET_NAMES, get_preset
+from .obs.spans import SpanRecorder, chrome_trace
 from .params import SystemParameters
-from .sim.trace import Tracer
 from .sim.system import SimulatedSystem, SimulationConfig
 from .storage.backends import storage_backend_names
 from .sweep import SweepRunner, default_cache_dir
@@ -76,25 +77,27 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
                         help="log one stderr line per completed sweep cell "
                              "(done/total, cache hits, retries, failures)")
     parser.add_argument("--trace-out", default=None, metavar="PATH",
-                        help="write a JSONL trace of sweep-cell completion "
-                             "events (wall-clock times) to PATH")
+                        help="write a JSONL run export of sweep-cell "
+                             "completion spans (wall-clock times) to PATH")
 
 
 class _CommandTrace:
-    """Wall-clock tracer for a sweep-backed CLI command.
+    """Wall-clock span recorder for a sweep-backed CLI command.
 
-    Sweep cells run in worker processes, so the simulator's own tracer
-    never sees them; this one records the parent-side lifecycle (command
-    begin/end, one event per completed cell) with wall-clock timestamps
-    relative to command start, in the same JSONL export format.
+    Sweep cells run in worker processes, so the simulator's own spans
+    never see them; this recorder is clocked in seconds since the
+    command started and records the parent-side lifecycle (command
+    begin/end, one point span per completed cell) in the same JSONL run
+    export format.
     """
 
     def __init__(self, command: str, **fields: Any) -> None:
         self.command = command
-        self.tracer = Tracer(enabled=True)
         self._t0 = time.time()
-        self.tracer.record(0.0, "command.begin", command=command, **fields)
+        self.spans = SpanRecorder(enabled=True, clock=self)
+        self.spans.emit("command.begin", 0.0, 0.0, command=command, **fields)
 
+    @property
     def now(self) -> float:
         return time.time() - self._t0
 
@@ -104,16 +107,16 @@ class _CommandTrace:
                                               type(None))) else repr(value)
             for name, value in cell.kwargs.items()
         }
-        self.tracer.record(self.now(), "sweep.cell", done=done, total=total,
-                           replicate=cell.replicate, ok=cell.ok,
-                           cached=cell.cached, retried=cell.retried,
-                           kwargs=safe_kwargs)
+        self.spans.emit("sweep.cell", self.now, 0.0, done=done, total=total,
+                        replicate=cell.replicate, ok=cell.ok,
+                        cached=cell.cached, retried=cell.retried,
+                        kwargs=safe_kwargs)
 
     def export(self, path: str, **meta: Any) -> None:
         from .obs.export import export_run
-        self.tracer.record(self.now(), "command.end", command=self.command)
-        export_run(path, tracer=self.tracer,
-                   meta={"command": self.command, "wall_time": self.now(),
+        self.spans.emit("command.end", self.now, 0.0, command=self.command)
+        export_run(path, spans=self.spans.snapshot(),
+                   meta={"command": self.command, "wall_time": self.now,
                          **meta})
         print(f"trace written to {path}", file=sys.stderr)
 
@@ -253,28 +256,23 @@ def build_parser() -> argparse.ArgumentParser:
                      help="machine-readable output (meta + summary + "
                           "telemetry snapshot + checkpoint history)")
     met.add_argument("--trace-out", default=None, metavar="PATH",
-                     help="also export the full run (events + metrics) "
+                     help="also export the full run (spans + metrics) "
                           "as JSONL to PATH")
     met.add_argument("--load", default=None, metavar="PATH",
                      help="render a previously exported JSONL run "
                           "instead of simulating")
 
     trc = sub.add_parser(
-        "trace", help="event-trace export / summary for one run")
+        "trace", help="span summary / export for one run")
     _add_run_flags(trc)
     trc.add_argument("--out", default=None, metavar="PATH",
-                     help="write the full run export (events + metrics) "
+                     help="write the full run export (spans + metrics) "
                           "as JSONL to PATH")
     trc.add_argument("--load", default=None, metavar="PATH",
-                     help="summarise an existing JSONL trace instead of "
-                          "simulating")
+                     help="summarise an existing JSONL run export instead "
+                          "of simulating")
     trc.add_argument("--tail", type=int, default=20, metavar="N",
-                     help="show the last N buffered events (default 20)")
-    trc.add_argument("--spans", action="store_true",
-                     help="record begin/end spans (txn lifecycle, "
-                          "checkpoint phases, WAL flushes) alongside the "
-                          "event trace; implied by --attribution and "
-                          "--chrome-out")
+                     help="show the last N recorded spans (default 20)")
     trc.add_argument("--attribution", action="store_true",
                      help="decompose p50/p95/p99 commit latency by cause "
                           "(quiesce / ckpt-held locks / rerun backoff / "
@@ -784,14 +782,12 @@ def _cmd_report(args: argparse.Namespace) -> str:
     return f"report written to {path}"
 
 
-def _build_run(args: argparse.Namespace, *, trace: bool,
-               spans: bool = False,
+def _build_run(args: argparse.Namespace, *, spans: bool,
                ) -> "tuple[SimulatedSystem, float, Dict[str, Any]]":
     """One telemetry-instrumented system from a preset or run flags."""
     if args.preset:
         preset = get_preset(args.preset)
-        config = preset.build_config(telemetry=True, trace=trace,
-                                     spans=spans)
+        config = preset.build_config(telemetry=True, spans=spans)
         duration = (args.duration if args.duration is not None
                     else preset.duration)
         meta = preset.meta()
@@ -802,7 +798,7 @@ def _build_run(args: argparse.Namespace, *, trace: bool,
         config = SimulationConfig(
             params=params, algorithm=args.algorithm, seed=args.seed,
             policy=CheckpointPolicy(interval=args.interval),
-            preload_backup=True, telemetry=True, trace=trace, spans=spans)
+            preload_backup=True, telemetry=True, spans=spans)
         duration = args.duration if args.duration is not None else 6.0
         meta = {"algorithm": args.algorithm, "scale": args.scale,
                 "lam": args.lam, "duration": duration, "seed": args.seed}
@@ -820,7 +816,7 @@ def _cmd_metrics(args: argparse.Namespace) -> str:
             "checkpoints": record.checkpoints,
         }
     else:
-        system, duration, meta = _build_run(args, trace=bool(args.trace_out))
+        system, duration, meta = _build_run(args, spans=bool(args.trace_out))
         metrics = system.run(duration)
         payload = {
             "meta": meta,
@@ -842,55 +838,44 @@ def _cmd_metrics(args: argparse.Namespace) -> str:
 def _cmd_trace(args: argparse.Namespace) -> str:
     from .errors import ConfigurationError
     from .obs.export import export_system_run, load_run
-    want_spans = args.spans or args.attribution or bool(args.chrome_out)
-    spans: Optional[List[Dict[str, Any]]] = None
     if args.load:
-        record = load_run(args.load)
-        tracer = record.tracer
-        spans = record.spans
-        header = f"{args.load}: {len(tracer)} buffered events"
-        if want_spans and spans is None:
+        spans = load_run(args.load).spans
+        if spans is None:
             raise ConfigurationError(
-                f"{args.load} carries no span trace; re-export the run "
-                "with 'repro trace --spans --out PATH'")
+                f"{args.load} carries no spans; re-export the run with "
+                "'repro trace --out PATH'")
+        header = f"{args.load}: {len(spans)} spans"
     else:
-        system, duration, meta = _build_run(args, trace=True,
-                                            spans=want_spans)
+        system, duration, meta = _build_run(args, spans=True)
         system.run(duration)
-        tracer = system.tracer
         spans = system.spans_snapshot()
         header = (f"{meta['algorithm']} seed={meta['seed']}: "
-                  f"{tracer.recorded} events recorded, "
-                  f"{tracer.dropped} dropped "
-                  f"(rate {tracer.drop_rate:.2%}), "
-                  f"{len(tracer)} buffered")
-        if spans is not None:
-            header += f"; {len(spans)} spans"
+                  f"{len(spans)} spans recorded, "
+                  f"{system.spans.dropped} dropped")
         if args.out:
             lines = export_system_run(args.out, system, meta=meta)
             print(f"{lines} lines written to {args.out}", file=sys.stderr)
     if args.chrome_out:
-        from .obs.spans import chrome_trace
         with open(args.chrome_out, "w", encoding="utf-8") as fp:
-            json.dump(chrome_trace(spans or []), fp)
+            json.dump(chrome_trace(spans), fp)
         print(f"chrome trace written to {args.chrome_out} "
               "(open in Perfetto or chrome://tracing)", file=sys.stderr)
     out = [header, "", "events by kind:"]
-    kinds = tracer.kinds()
+    kinds = Counter(span["name"] for span in spans)
     for kind in sorted(kinds):
         out.append(f"  {kind:24s} {kinds[kind]}")
-    tail = list(tracer)[-args.tail:] if args.tail > 0 else []
+    tail = spans[-args.tail:] if args.tail > 0 else []
     if tail:
         out.append("")
-        out.append(f"last {len(tail)} events:")
-        for event in tail:
+        out.append(f"last {len(tail)} spans:")
+        for span in tail:
             fields = " ".join(f"{name}={value}" for name, value
-                              in sorted(event.fields.items()))
-            out.append(f"  {event.time:10.6f}  {event.kind:20s} {fields}")
+                              in sorted(span["fields"].items()))
+            out.append(f"  {span['start']:10.6f}  {span['name']:20s} {fields}")
     if args.attribution:
         from .obs.attribution import render_attribution
         out.append("")
-        out.append(render_attribution(spans or []))
+        out.append(render_attribution(spans))
     return "\n".join(out)
 
 

@@ -23,7 +23,7 @@ The closed loop the host-adapter refactor exists to enable:
    are the pass criteria.
 
 The emitted JSON report is validated by ``schemas/livebench.schema.json``
-(``scripts/check_livebench_schema.py``) and committed benchmark runs are
+(``scripts/check_schema.py livebench``) and committed benchmark runs are
 gated in CI next to ``repro bench``.
 """
 
@@ -44,7 +44,8 @@ from ..obs.attribution import attribute_stalls, checkpoint_intervals, \
     decompose_quantiles
 from ..params import SystemParameters
 from ..sim.rng import RandomStreams
-from ..txn.workload import WorkloadGenerator, WorkloadSpec
+from ..txn.workload import WorkloadGenerator
+from ..workload import WorkloadSpec
 
 __all__ = ["LiveBenchConfig", "LiveClient", "run_live_bench"]
 

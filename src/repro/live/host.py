@@ -38,7 +38,7 @@ import numpy as np
 
 from ..checkpoint.base import CheckpointStats
 from ..checkpoint.scheduler import CheckpointPolicy, CheckpointScheduler
-from ..errors import InvalidStateError
+from ..errors import AddressError, DatabaseError, InvalidStateError
 from ..mmdb.database import Database
 from ..obs.spans import NULL_SPANS, SpanRecorder
 from ..params import SystemParameters
@@ -50,6 +50,9 @@ from .store import ImageStore
 from .wal import DurableLog, read_wal
 
 __all__ = ["LiveConfig", "LiveCheckpointer", "LiveHost", "RecoveryInfo"]
+
+#: the range a record value must fit (the database stores int64)
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -351,9 +354,23 @@ class LiveHost:
         """Durably commit one transaction writing ``(record_id, value)``
         pairs.  Callable from any thread; blocks until the commit record
         is fsynced (group commit), then returns the acknowledgement.
+
+        Every update is checked before the transaction is enqueued:
+        ``execute`` logs and installs update by update, so a bad update
+        found midway would leave its predecessors installed but never
+        committed.
         """
         if not updates:
             raise InvalidStateError("a transaction must write something")
+        n_records = self.params.n_records
+        for record_id, value in updates:
+            if not 0 <= record_id < n_records:
+                raise AddressError(
+                    f"record {record_id} out of range [0, {n_records})")
+            if not _INT64.min <= value <= _INT64.max:
+                raise DatabaseError(
+                    f"value {value} for record {record_id} does not fit "
+                    "in int64")
         submitted_at = self.clock.now
         done = threading.Event()
         box: List = [None]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 from ..params import SystemParameters
-from ..txn.workload import AccessDistribution, WorkloadSpec
+from ..workload import AccessDistribution, WorkloadSpec
 from .duration import flush_time
 
 _FIXED_POINT_TOL = 1e-12

@@ -8,13 +8,14 @@ and transaction processing; this subsystem is the measuring equipment.
   namespace holding them;
 * :mod:`repro.obs.telemetry` -- the :class:`Telemetry` handle every
   instrumented component keys off (and its no-op default);
-* :mod:`repro.obs.export` -- JSONL run export/import: event stream plus
-  final metrics snapshot, round-tripping bit-identically;
+* :mod:`repro.obs.export` -- JSONL run export/import: the span list
+  plus the final metrics snapshot, round-tripping bit-identically;
 * :mod:`repro.obs.report` -- quantile tables, checkpoint phase timings,
   abort taxonomy, timeline sparklines (the ``repro metrics`` output);
 * :mod:`repro.obs.spans` -- begin/end spans with parent links: per-
-  transaction and per-checkpoint timed windows with causal structure
-  (and the Chrome-trace exporter for Perfetto);
+  transaction and per-checkpoint timed windows with causal structure,
+  plus the simulator's zero-duration lifecycle events (and the
+  Chrome-trace exporter for Perfetto);
 * :mod:`repro.obs.attribution` -- the stall-attribution pass joining
   transaction spans against overlapping checkpoint spans (the
   ``repro trace --attribution`` output);

@@ -1,20 +1,18 @@
-"""Run export/import: one JSONL file per run, events plus metrics.
+"""Run export/import: one JSONL file per run, spans plus metrics.
 
-The export format is line-oriented JSON with three line shapes:
+The export format is line-oriented JSON with two line shapes:
 
 * a **meta** header -- ``{"type": "meta", ...}`` with the scenario
   identity (algorithm, seed, duration, preset name, ...);
-* zero or more **event** lines -- ``{"time": ..., "kind": ...,
-  "fields": {...}}``, exactly what :meth:`repro.sim.trace.Tracer.
-  write_jsonl` emits;
 * a **metrics** footer -- ``{"type": "metrics", "summary": {...},
   "telemetry": {...}, "checkpoints": [...], "spans": [...]}`` holding
   the final :class:`~repro.sim.system.SimulationMetrics` dict, the
   :class:`~repro.obs.metrics.MetricsRegistry` snapshot, the
   per-checkpoint phase history, and -- for a span-recorded run -- the
-  :meth:`~repro.obs.spans.SpanRecorder.snapshot` span list (``null``
-  when spans were off, so the absence is distinguishable from an
-  empty trace).
+  :meth:`~repro.obs.spans.SpanRecorder.snapshot` span list, lifecycle
+  events (``arrival``, ``commit``, ...) included as zero-duration
+  spans (``null`` when spans were off, so the absence is
+  distinguishable from an empty trace).
 
 Every value is a plain JSON scalar/dict/list, so a file written by
 :func:`export_run` reloads with :func:`load_run` into exactly the
@@ -29,7 +27,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, TYPE_CHECKING, Union
 
 from ..errors import ConfigurationError
-from ..sim.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim.system import SimulatedSystem
@@ -42,7 +39,6 @@ class RunRecord:
     """One exported run, reloaded."""
 
     meta: Dict[str, Any] = field(default_factory=dict)
-    tracer: Tracer = field(default_factory=lambda: Tracer(enabled=True))
     summary: Optional[Dict[str, Any]] = None
     telemetry: Optional[Dict[str, Any]] = None
     checkpoints: List[Dict[str, Any]] = field(default_factory=list)
@@ -52,7 +48,6 @@ class RunRecord:
 def export_run(
     path: PathLike,
     *,
-    tracer: Optional[Tracer] = None,
     summary: Optional[Dict[str, Any]] = None,
     telemetry: Optional[Dict[str, Any]] = None,
     checkpoints: Optional[List[Dict[str, Any]]] = None,
@@ -60,31 +55,25 @@ def export_run(
     meta: Optional[Dict[str, Any]] = None,
 ) -> int:
     """Write one run to ``path``; returns the number of lines written."""
-    lines = 0
+    header = {"type": "meta", **(meta or {})}
+    footer = {
+        "type": "metrics",
+        "summary": summary,
+        "telemetry": telemetry,
+        "checkpoints": checkpoints or [],
+        "spans": spans,
+    }
     with open(path, "w", encoding="utf-8") as fp:
-        header = {"type": "meta", **(meta or {})}
-        fp.write(json.dumps(header, sort_keys=True) + "\n")
-        lines += 1
-        if tracer is not None:
-            lines += tracer.write_jsonl(fp)
-        footer = {
-            "type": "metrics",
-            "summary": summary,
-            "telemetry": telemetry,
-            "checkpoints": checkpoints or [],
-            "spans": spans,
-        }
-        fp.write(json.dumps(footer, sort_keys=True) + "\n")
-        lines += 1
-    return lines
+        for line in (header, footer):
+            fp.write(json.dumps(line, sort_keys=True) + "\n")
+    return 2
 
 
 def export_system_run(path: PathLike, system: "SimulatedSystem",
                       meta: Optional[Dict[str, Any]] = None) -> int:
-    """Export a simulated system's trace, metrics, and checkpoint history."""
+    """Export a simulated system's spans, metrics, and checkpoint history."""
     return export_run(
         path,
-        tracer=system.tracer,
         summary=asdict(system.metrics()),
         telemetry=system.telemetry_snapshot(),
         checkpoints=[asdict(stats) for stats in system.checkpointer.history],
@@ -93,16 +82,15 @@ def export_system_run(path: PathLike, system: "SimulatedSystem",
             "algorithm": system.config.algorithm,
             "seed": system.config.seed,
             "n_segments": system.params.n_segments,
-            "trace_dropped": system.tracer.dropped,
-            "trace_drop_rate": system.tracer.drop_rate,
+            "spans_dropped": system.spans.dropped,
             **(meta or {}),
         },
     )
 
 
-def load_run(path: PathLike, capacity: int = 1_000_000) -> RunRecord:
-    """Reload an exported run (tolerates bare Tracer JSONL files too)."""
-    record = RunRecord(tracer=Tracer(capacity=capacity, enabled=True))
+def load_run(path: PathLike) -> RunRecord:
+    """Reload a run written by :func:`export_run`."""
+    record = RunRecord()
     saw_any = False
     with open(path, "r", encoding="utf-8") as fp:
         for line in fp:
@@ -111,9 +99,7 @@ def load_run(path: PathLike, capacity: int = 1_000_000) -> RunRecord:
                 continue
             data = json.loads(line)
             saw_any = True
-            if "time" in data and "kind" in data:
-                record.tracer.append_dict(data)
-            elif data.get("type") == "meta":
+            if data.get("type") == "meta":
                 record.meta = {k: v for k, v in data.items() if k != "type"}
             elif data.get("type") == "metrics":
                 record.summary = data.get("summary")

@@ -12,7 +12,7 @@ telemetry:
   the data), so merging is bucket-wise addition and is associative;
 * **serialisable** -- every metric round-trips through a plain-JSON dict
   (:meth:`to_dict` / :meth:`from_dict`) so a run's snapshot can be
-  exported next to its event trace and reloaded bit-identically.
+  exported next to its spans and reloaded bit-identically.
 
 The relative error of a histogram quantile is bounded by the bucket
 width: with the default growth of ``2**(1/8)`` (~9% per bucket) a

@@ -40,7 +40,6 @@ class ScenarioPreset:
             self.scale, lam=self.lam, stable_log_tail=self.stable_tail)
 
     def build_config(self, *, telemetry: bool = True,
-                     trace: bool = False,
                      spans: bool = False) -> SimulationConfig:
         return SimulationConfig(
             params=self.build_params(),
@@ -49,7 +48,6 @@ class ScenarioPreset:
             policy=CheckpointPolicy(interval=self.interval),
             preload_backup=True,
             telemetry=telemetry,
-            trace=trace,
             spans=spans,
             cpu_mips=self.cpu_mips,
             cou_quiesce_latency=self.cou_quiesce_latency,

@@ -7,8 +7,10 @@ latency went (quiesce queueing, lock waits, CPU service, rerun
 backoffs), every checkpoint is a root span over its phase windows
 (quiesce, per-segment WAL waits and image writes, paint marks), WAL
 group flushes and fault-injector retry backoffs are point/interval
-events.  :mod:`repro.obs.attribution` joins the two families to
-decompose tail latency by cause.
+events, and the simulator's lifecycle events (``arrival``, ``commit``,
+``abort``, ``checkpoint``, ``crash``, ``recover``) are zero-duration
+root spans.  :mod:`repro.obs.attribution` joins the transaction and
+checkpoint families to decompose tail latency by cause.
 
 The guard contract is the telemetry one, verbatim: instrumented sites
 hold one shared :class:`SpanRecorder` and wrap each site in::
@@ -98,13 +100,16 @@ class SpanRecorder:
         if fields:
             span["fields"].update(fields)
 
-    def emit(self, name: str, start: float, duration: float,
+    def emit(self, name: str, start: float, duration: float, /,
              parent: int = -1, **fields: Any) -> int:
         """Record a complete span with a known extent in one call.
 
         For windows whose duration is computed rather than waited out
         (rerun backoffs, fault retry backoffs) and for point events
-        (``duration=0.0``: WAL flushes, paint marks).
+        (``duration=0.0``: WAL flushes, paint marks, the simulator's
+        lifecycle events).  ``name``, ``start`` and ``duration`` are
+        positional-only, so a span may carry a field of the same name
+        (a ``checkpoint`` event's ``duration``).
         """
         if not self.enabled:
             return -1

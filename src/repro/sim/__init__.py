@@ -4,15 +4,17 @@ Three layers live here, bottom-up:
 
 * **engine** -- a small, dependency-free discrete-event substrate: a
   priority queue of timestamped events (:mod:`~repro.sim.engine`), a
-  monotonic clock, seeded random streams, timestamps, tracing, and the
-  typed component ports (:mod:`~repro.sim.ports`).  Engine modules
+  monotonic clock, seeded random streams, timestamps, and the typed
+  component ports (:mod:`~repro.sim.ports`).  Engine modules
   import nothing above themselves (``scripts/check_layering.py``
   enforces this).
 * **kernel** -- the assembled MMDBMS testbed:
   :class:`~repro.sim.system.SimulatedSystem` running a transaction
   workload against database + WAL + disks + ping-pong backups with a
   checkpointer, crash injection, recovery, and the independent
-  committed-state oracle (:mod:`~repro.sim.oracle`).
+  committed-state oracle (:mod:`~repro.sim.oracle`).  Its lifecycle
+  events (arrivals, commits, aborts, checkpoints, crash, recovery) are
+  zero-duration spans on the run's :class:`~repro.obs.spans.SpanRecorder`.
 * **components** -- :class:`~repro.sim.builder.SystemBuilder`, which
   constructs every subsystem through overridable factories so tests and
   extensions can substitute any one of them.
@@ -25,8 +27,7 @@ cycle.  ``from repro.sim import SimulatedSystem`` works regardless.
 currently implementing a testbed with which we will be able to
 experimentally evaluate the algorithms presented here"; here it serves
 to validate the analytic model and to prove each algorithm's recovery
-correctness.  ``repro.simulate`` is the deprecated alias of this
-package.)
+correctness.)
 """
 
 from . import ports
@@ -35,7 +36,6 @@ from .cpu_server import CpuServer
 from .engine import EventEngine, EventHandle
 from .rng import RandomStreams
 from .timestamps import TimestampAuthority
-from .trace import TraceEvent, Tracer
 
 #: kernel/component names resolved lazily from their modules
 _LAZY = {
@@ -62,8 +62,6 @@ __all__ = [
     "SystemBuilder",
     "SystemComponents",
     "TimestampAuthority",
-    "TraceEvent",
-    "Tracer",
     "ports",
 ]
 

@@ -73,12 +73,13 @@ class SimHost:
         return self.system.verify_recovery(limit=limit)
 
     def arrival_log(self) -> List[dict]:
-        """The traced arrival stream (requires ``config.trace``).
+        """The recorded arrival stream (requires ``config.spans``).
 
-        Each entry is ``{"time", "txn_id"}`` in arrival order -- the
-        stream the offline replay in :mod:`repro.workload.replay` must
-        reproduce exactly (the host-agnostic workload golden test).
+        Each entry is ``{"time", "txn_id"}`` in arrival order, read from
+        the ``arrival`` spans -- the stream the offline replay in
+        :mod:`repro.workload.replay` must reproduce exactly (the
+        host-agnostic workload golden test).
         """
-        return [{"time": event.time, "txn_id": event.fields["txn_id"]}
-                for event in self.system.tracer
-                if event.kind == "arrival"]
+        return [{"time": span["start"], "txn_id": span["fields"]["txn_id"]}
+                for span in self.system.spans.spans
+                if span["name"] == "arrival"]

@@ -30,7 +30,7 @@ from ..errors import ConfigurationError, InvalidStateError
 from ..faults.plan import FaultPlan
 from ..params import SystemParameters
 from ..recovery.restore import RecoveryManager, RecoveryResult
-from ..txn.workload import WorkloadSpec
+from ..workload import WorkloadSpec, resolve_workload
 from .builder import SystemBuilder, SystemComponents
 from .oracle import RecordMismatch
 
@@ -70,9 +70,6 @@ class SimulationConfig:
     #: reclaim log space at checkpoint completion; disable to retain the
     #: full log (needed to recover from archived/tape checkpoints)
     truncate_log: bool = True
-    #: record lifecycle events (arrivals, commits, aborts, checkpoints,
-    #: crash/recovery) into ``system.tracer`` for inspection
-    trace: bool = False
     #: collect quantitative telemetry (counters, gauges, histograms,
     #: utilisation timelines) into ``system.telemetry`` -- the
     #: :mod:`repro.obs` substrate.  Off by default; disabled overhead is
@@ -80,7 +77,9 @@ class SimulationConfig:
     #: into the simulation, so results are identical either way.
     telemetry: bool = False
     #: record begin/end spans with parent links (transaction lifecycle,
-    #: checkpoint phases, WAL flushes, fault backoffs) into
+    #: checkpoint phases, WAL flushes, fault backoffs) and the
+    #: zero-duration lifecycle events (``arrival``, ``commit``,
+    #: ``abort``, ``checkpoint``, ``crash``, ``recover``) into
     #: ``system.spans`` -- the :mod:`repro.obs.spans` layer feeding
     #: stall attribution and the Chrome-trace export.  Same contract as
     #: ``telemetry``: off by default, one predicate per site when
@@ -142,7 +141,6 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         if not isinstance(self.workload, WorkloadSpec):
-            from ..workload.scenarios import resolve_workload
             object.__setattr__(self, "workload",
                                resolve_workload(self.workload))
         if self.partitions < 1:
@@ -200,7 +198,7 @@ class SimulatedSystem:
     ``SystemBuilder(config).with_component(...).build()`` substitutes
     individual subsystems (see :mod:`repro.sim.ports` for the component
     interfaces).  Either way the system adopts the components verbatim
-    and then performs only run-state wiring (tracer hooks, backup
+    and then performs only run-state wiring (lifecycle span hooks, backup
     preload, timed-crash scheduling).
     """
 
@@ -229,12 +227,11 @@ class SimulatedSystem:
         self.checkpointer: BaseCheckpointer = components.checkpointer
         self.scheduler = components.scheduler
         self.workload = components.workload
-        self.tracer = components.tracer
         self._started = False
         self._crashed = False
         self._run_started_at = 0.0
-        if self.tracer.enabled:
-            self._wire_tracer()
+        if self.spans.enabled:
+            self._wire_lifecycle_spans()
         if config.preload_backup:
             self._preload_backup()
         if (self.faults.armed and self.faults.plan.crash is not None
@@ -243,19 +240,24 @@ class SimulatedSystem:
                                     self.faults.trigger_timed_crash,
                                     label="fault: timed crash")
 
-    def _wire_tracer(self) -> None:
-        self.txn_manager.on_commit = lambda txn: self.tracer.record(
-            self.engine.now, "commit", txn_id=txn.txn_id,
+    def _wire_lifecycle_spans(self) -> None:
+        """Record commits, aborts and checkpoint completions as
+        zero-duration root spans (the ``arrival``, ``crash`` and
+        ``recover`` events are emitted at their own sites)."""
+        spans = self.spans
+        engine = self.engine
+        self.txn_manager.on_commit = lambda txn: spans.emit(
+            "commit", engine.now, 0.0, txn_id=txn.txn_id,
             attempts=txn.attempts)
-        self.txn_manager.on_abort = lambda txn, reason: self.tracer.record(
-            self.engine.now, "abort", txn_id=txn.txn_id, reason=reason)
+        self.txn_manager.on_abort = lambda txn, reason: spans.emit(
+            "abort", engine.now, 0.0, txn_id=txn.txn_id, reason=reason)
         scheduler_hook = self.checkpointer.on_complete
 
         def checkpoint_complete(stats) -> None:
-            self.tracer.record(
-                self.engine.now, "checkpoint", checkpoint_id=stats.checkpoint_id,
-                image=stats.image, flushed=stats.segments_flushed,
-                duration=stats.duration)
+            spans.emit(
+                "checkpoint", engine.now, 0.0,
+                checkpoint_id=stats.checkpoint_id, image=stats.image,
+                flushed=stats.segments_flushed, duration=stats.duration)
             if scheduler_hook is not None:
                 scheduler_hook(stats)
 
@@ -315,8 +317,8 @@ class SimulatedSystem:
     def _arrival(self) -> None:
         now = self.engine.clock._now  # hot path: one read per arrival
         txn = self.workload.make_transaction(now)
-        if self.tracer.enabled:
-            self.tracer.record(now, "arrival", txn_id=txn.txn_id)
+        if self.spans.enabled:
+            self.spans.emit("arrival", now, 0.0, txn_id=txn.txn_id)
         if self.telemetry.enabled:
             self.telemetry.registry.count("workload.arrivals")
             self.telemetry.registry.observe(
@@ -370,7 +372,8 @@ class SimulatedSystem:
         # Let the oracle see everything that was stable before the lights
         # went out (stable-tail appends may not have been drained yet).
         self.oracle.feed(self.log.drain_newly_stable())
-        self.tracer.record(self.engine.now, "crash")
+        if self.spans.enabled:
+            self.spans.emit("crash", self.engine.now, 0.0)
         if self.faults.armed:
             # Apply torn prefixes of in-flight segment writes to the
             # images before the write-completion events are discarded.
@@ -426,10 +429,10 @@ class SimulatedSystem:
             self.params, self.database, self.log, self.backup, self.array,
             authority=self.authority)
         result = manager.recover()
-        self.tracer.record(
-            self.engine.now, "recover",
-            checkpoint_id=result.used_checkpoint_id,
-            replayed=result.transactions_replayed)
+        if self.spans.enabled:
+            self.spans.emit("recover", self.engine.now, 0.0,
+                            checkpoint_id=result.used_checkpoint_id,
+                            replayed=result.transactions_replayed)
         self._crashed = False
         self._started = False  # a fresh run() restarts arrivals/checkpoints
         return result

@@ -10,14 +10,12 @@ aborts), install hooks (copy-on-update snapshots), and LSN stamping.
 
 from .transaction import Transaction, TransactionState
 from .manager import TransactionManager, TransactionStats
-from .workload import AccessDistribution, WorkloadGenerator, WorkloadSpec
+from .workload import WorkloadGenerator
 
 __all__ = [
-    "AccessDistribution",
     "Transaction",
     "TransactionManager",
     "TransactionState",
     "TransactionStats",
     "WorkloadGenerator",
-    "WorkloadSpec",
 ]

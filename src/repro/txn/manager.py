@@ -207,7 +207,7 @@ class TransactionManager:
         self._guard_access: Optional[Callable[[Transaction, Segment], None]] = None
         self._before_install: Optional[Callable[[Transaction, Segment], None]] = None
         self.stats = self.new_stats()
-        #: optional observers (the simulator wires these to its tracer)
+        #: optional observers (the simulator wires these to its lifecycle spans)
         self.on_commit: Optional[Callable[[Transaction], None]] = None
         self.on_abort: Optional[Callable[[Transaction, str], None]] = None
         self._quiesced = False

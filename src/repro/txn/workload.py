@@ -17,13 +17,10 @@ import numpy as np
 from ..params import SystemParameters
 from ..sim.rng import RandomStreams
 
-# The declarative spec now lives in the workload package; re-exported
-# here so every historical ``from repro.txn.workload import WorkloadSpec``
-# call site keeps working unchanged.
 from ..workload.spec import AccessDistribution, WorkloadSpec
 from .transaction import Transaction
 
-__all__ = ["AccessDistribution", "WorkloadGenerator", "WorkloadSpec"]
+__all__ = ["WorkloadGenerator"]
 
 
 class WorkloadGenerator:

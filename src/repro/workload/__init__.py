@@ -17,8 +17,8 @@ Everything about *what load a simulation run sees* lives here:
 * :mod:`repro.workload.cells` -- scenarios as sweepable points.
 
 ``source`` and ``cells`` are exported lazily (module ``__getattr__``):
-they import :mod:`repro.txn.workload`, which re-imports this package
-for the spec -- the lazy hop keeps that legacy shim cycle-free, the
+they import :mod:`repro.txn.workload` (the generator), which imports
+this package for the spec -- the lazy hop keeps that cycle-free, the
 same pattern :mod:`repro.sim` uses.
 """
 

@@ -18,7 +18,8 @@ from typing import Any, Dict, List
 
 from ..params import SystemParameters
 from ..sim.rng import RandomStreams
-from ..txn.workload import WorkloadGenerator, WorkloadSpec
+from ..txn.workload import WorkloadGenerator
+from .spec import WorkloadSpec
 
 __all__ = ["replay_arrivals"]
 

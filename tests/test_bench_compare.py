@@ -166,13 +166,12 @@ class TestCliGate:
 
 
 class TestSchemaCheckerAgainst:
-    """``check_bench_schema.py --against`` gates on a baseline file."""
+    """``check_schema.py bench --against`` gates on a baseline file."""
 
     @staticmethod
     def _checker():
         spec = importlib.util.spec_from_file_location(
-            "check_bench_schema",
-            REPO_ROOT / "scripts" / "check_bench_schema.py")
+            "check_schema", REPO_ROOT / "scripts" / "check_schema.py")
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         return module
@@ -183,7 +182,7 @@ class TestSchemaCheckerAgainst:
         base = tmp_path / "BENCH_7.json"
         doc.write_text(json.dumps(_payload(scale=0.3)))
         base.write_text(json.dumps(_payload(pr=7)))
-        assert checker.main(["prog", str(doc),
+        assert checker.main(["bench", str(doc),
                              "--against", str(base)]) == 1
 
     def test_against_clean_exits_zero(self, tmp_path):
@@ -192,7 +191,7 @@ class TestSchemaCheckerAgainst:
         base = tmp_path / "BENCH_7.json"
         doc.write_text(json.dumps(_payload(scale=1.2)))
         base.write_text(json.dumps(_payload(pr=7)))
-        assert checker.main(["prog", str(doc),
+        assert checker.main(["bench", str(doc),
                              "--against", str(base)]) == 0
 
     def test_invalid_document_still_fails_structurally(self, tmp_path):
@@ -201,7 +200,7 @@ class TestSchemaCheckerAgainst:
         broken = _payload()
         broken["results"]["recovery_replay"]["verified"] = False
         doc.write_text(json.dumps(broken))
-        assert checker.main(["prog", str(doc)]) == 1
+        assert checker.main(["bench", str(doc)]) == 1
 
 
 class TestAllFailuresReported:
@@ -265,7 +264,7 @@ class TestAllFailuresReported:
         base = tmp_path / "BENCH_7.json"
         doc.write_text(json.dumps(doc_payload))
         base.write_text(json.dumps(_payload(pr=7)))
-        assert checker.main(["prog", str(doc),
+        assert checker.main(["bench", str(doc),
                              "--against", str(base)]) == 1
         captured = capsys.readouterr()
         assert "rate must be > 0" in captured.err
@@ -284,7 +283,7 @@ class TestAllFailuresReported:
         base = tmp_path / "BENCH_7.json"
         doc.write_text(json.dumps(_payload(scale=0.3)))
         base.write_text(json.dumps(_payload(pr=7)))
-        assert checker.main(["prog", str(doc),
+        assert checker.main(["bench", str(doc),
                              "--against", str(base)]) == 1
         captured = capsys.readouterr()
         assert "satisfies" in captured.out

@@ -11,7 +11,7 @@ from repro.model.evaluate import evaluate
 from repro.model.restarts import sweep_average_conflict
 from repro.params import SystemParameters
 from repro.sim.system import SimulatedSystem, SimulationConfig
-from repro.txn.workload import AccessDistribution, WorkloadSpec
+from repro.workload import AccessDistribution, WorkloadSpec
 
 
 class TestDegenerateSizes:

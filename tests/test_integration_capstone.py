@@ -16,7 +16,7 @@ from repro.checkpoint.scheduler import CheckpointPolicy
 from repro.params import SystemParameters
 from repro.sim.system import SimulatedSystem, SimulationConfig
 from repro.storage.archive import ArchiveManager
-from repro.txn.workload import AccessDistribution, WorkloadSpec
+from repro.workload import AccessDistribution, WorkloadSpec
 
 
 def _wait_idle(system: SimulatedSystem) -> None:
@@ -30,7 +30,7 @@ def _wait_idle(system: SimulatedSystem) -> None:
 class TestEverythingAtOnce:
     def test_skewed_mixed_contended_cou_survives_three_crashes(self):
         """Hotspot + mixed sizes + finite CPU + quiesce latency + COUCOPY,
-        crash/recover three times, trace on throughout."""
+        crash/recover three times, spans on throughout."""
         params = SystemParameters.scaled_down(256, lam=40.0, n_bdisks=8)
         system = SimulatedSystem(SimulationConfig(
             params=params,
@@ -45,7 +45,7 @@ class TestEverythingAtOnce:
             cpu_mips=3.0,
             cou_quiesce_latency=True,
             log_flush_interval=0.05,
-            trace=True,
+            spans=True,
         ))
         for cycle in range(3):
             metrics = system.run(3.0)
@@ -53,7 +53,7 @@ class TestEverythingAtOnce:
             system.crash()
             system.recover()
             assert system.verify_recovery() == [], cycle
-        kinds = system.tracer.kinds()
+        kinds = system.spans.counts()
         assert kinds["crash"] == 3 and kinds["recover"] == 3
 
     def test_logical_cou_with_media_failure_and_tape(self):
@@ -117,7 +117,7 @@ class TestEverythingAtOnce:
             seed=80,
             preload_backup=True,
             cpu_mips=5.0,
-            trace=True,
+            spans=True,
         ))
         system.run(4.0)
         _wait_idle(system)

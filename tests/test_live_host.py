@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, WALCorruptionError
+from repro.errors import ConfigurationError, DatabaseError, WALCorruptionError
 from repro.live.host import LiveConfig, LiveHost
 from repro.live.store import ImageStore
 from repro.live.wal import DurableLog, decode_record, encode_record, read_wal
@@ -267,6 +267,37 @@ def test_live_host_commit_read_verify_and_restart(tmp_path):
         assert reborn.verify() == []
         # txn ids continue past the previous incarnation's
         assert reborn.submit([(0, 9)]).txn_id == 22
+    finally:
+        reborn.stop()
+
+
+def test_live_host_rejects_a_malformed_txn_before_any_update_lands(tmp_path):
+    host = _host(tmp_path)
+    host.start()
+    n_records = host.params.n_records
+    try:
+        for bad in ([(0, 777), (n_records, 1)], [(0, 777), (-1, 1)],
+                    [(0, 777), (1, 2 ** 63)], [(0, 777), (1, -2 ** 63 - 1)]):
+            started = time.monotonic()
+            with pytest.raises(DatabaseError):
+                host.submit(bad, timeout=2.0)
+            assert time.monotonic() - started < 1.0  # answered at once
+            assert host.read(0) == 0  # nothing uncommitted is served
+        assert host.verify() == []
+        assert host.scheduler.errors == []
+        host.submit([(0, 5), (n_records - 1, 2 ** 63 - 1)])
+        assert host.read(0) == 5
+        assert host.verify() == []
+    finally:
+        host.stop()
+
+    reborn = _host(tmp_path)
+    recovery = reborn.start()
+    try:
+        assert recovery.transactions_replayed == 1
+        assert recovery.updates_dropped == 0  # no half-txn reached the WAL
+        assert reborn.read(0) == 5
+        assert reborn.read(n_records - 1) == 2 ** 63 - 1
     finally:
         reborn.stop()
 

@@ -6,8 +6,8 @@ What these tests pin down:
   that makes per-cell sweep telemetry safely mergeable);
 * registry snapshots round-trip exactly (``from_snapshot . snapshot``
   is the identity on the serialised form);
-* the tracer's ring accounting counts each eviction exactly once, and
-  the JSONL event stream reloads bit-identically;
+* the span recorder counts each span refused at capacity exactly once,
+  and spans reload from the JSONL run export bit-identically;
 * telemetry is observational only: a fixed-seed run produces the same
   ``SimulationMetrics`` with telemetry on and off;
 * a run exported to JSONL and reloaded reproduces the identical metrics
@@ -34,10 +34,10 @@ from repro.obs.metrics import (
     Timeline,
 )
 from repro.obs.presets import PRESETS, get_preset
+from repro.obs.spans import SpanRecorder
 from repro.obs.report import render_metrics_report
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.params import SystemParameters
-from repro.sim.trace import Tracer
 from repro.sweep import SweepRunner, SweepSpec
 
 from tests.helpers import build_system
@@ -168,32 +168,34 @@ def test_null_telemetry_records_nothing():
 
 
 # ----------------------------------------------------------------------
-# tracer ring + JSONL
+# span recorder capacity + JSONL
 # ----------------------------------------------------------------------
 
-def test_tracer_counts_each_eviction_exactly_once():
-    tracer = Tracer(capacity=4, enabled=True)
+def test_span_recorder_counts_each_drop_exactly_once():
+    spans = SpanRecorder(capacity=4)
     for i in range(10):
-        tracer.record(float(i), "tick", index=i)
-    assert tracer.recorded == 10
-    assert tracer.dropped == 6
-    assert len(tracer) == 4
-    assert tracer.drop_rate == pytest.approx(0.6)
-    assert [event.index for event in tracer] == [6, 7, 8, 9]
+        spans.emit("tick", float(i), 0.0, index=i)
+    assert len(spans) + spans.dropped == 10
+    assert spans.dropped == 6
+    assert len(spans) == 4
+    assert spans.dropped / (len(spans) + spans.dropped) == pytest.approx(0.6)
+    # Handles are list indices, so the cap refuses the newest spans.
+    assert [span["fields"]["index"] for span in spans.snapshot()] == \
+        [0, 1, 2, 3]
 
 
-def test_tracer_drop_rate_is_zero_when_empty():
-    assert Tracer(enabled=True).drop_rate == 0.0
+def test_span_recorder_drops_nothing_when_empty():
+    spans = SpanRecorder()
+    assert spans.dropped == 0 and len(spans) == 0
 
 
-def test_tracer_jsonl_round_trip(tmp_path):
-    tracer = Tracer(enabled=True)
-    tracer.record(0.25, "commit", txn_id=1)
-    tracer.record(0.50, "abort", txn_id=2, reason="two-color")
+def test_span_jsonl_round_trip(tmp_path):
+    spans = SpanRecorder()
+    spans.emit("commit", 0.25, 0.0, txn_id=1)
+    spans.emit("abort", 0.50, 0.0, txn_id=2, reason="two-color")
     path = tmp_path / "events.jsonl"
-    assert tracer.to_jsonl(path) == 2
-    reloaded = Tracer.from_jsonl(path)
-    assert list(reloaded.event_dicts()) == list(tracer.event_dicts())
+    assert export_run(path, spans=spans.snapshot()) == 2
+    assert load_run(path).spans == spans.snapshot()
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +229,7 @@ def test_fixed_seed_metrics_identical_with_telemetry_on_and_off():
 def _run_instrumented_system(duration: float = 2.0):
     params = SystemParameters.scaled_down(1024, lam=150.0)
     system = build_system(params, "COUCOPY", seed=5,
-                          telemetry=True, trace=True)
+                          telemetry=True, spans=True)
     metrics = system.run(duration)
     return system, metrics
 
@@ -244,15 +246,15 @@ def test_exported_run_reloads_with_identical_metrics(tmp_path):
                                   for stats in system.checkpointer.history]
     assert record.meta["algorithm"] == "COUCOPY"
     assert record.meta["note"] == "round-trip"
-    assert list(record.tracer.event_dicts()) == \
-        list(system.tracer.event_dicts())
+    assert record.spans == system.spans_snapshot()
+    assert record.meta["spans_dropped"] == 0
 
     # Exporting the reloaded record again produces byte-identical lines
     # (modulo the meta fields export_system_run derives from the system).
     second = tmp_path / "again.jsonl"
-    export_run(second, tracer=record.tracer, summary=record.summary,
+    export_run(second, summary=record.summary,
                telemetry=record.telemetry, checkpoints=record.checkpoints,
-               meta=record.meta)
+               spans=record.spans, meta=record.meta)
     assert second.read_text() == path.read_text()
 
 
@@ -356,8 +358,7 @@ def test_cli_metrics_json_satisfies_checked_in_schema(capsys):
     import pathlib
     root = pathlib.Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location(
-        "check_metrics_schema",
-        root / "scripts" / "check_metrics_schema.py")
+        "check_schema", root / "scripts" / "check_schema.py")
     validator = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(validator)
     schema = json.loads(

@@ -51,15 +51,7 @@ class TestFacade:
                                  lam=100.0)
         assert outcome.clean and not outcome.crashed
         assert outcome.metrics.transactions_committed > 0
-        # the facade call must not shadow the real subpackage (now a
-        # deprecation shim over repro.sim -- hence the expected warning
-        # on first import; see test_simulate_shim.py)
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.simulate.system import SimulatedSystem  # noqa: F401
-            import repro.simulate.system as system_module
-        assert hasattr(system_module, "SimulatedSystem")
+        assert repro.simulate is repro.api.simulate
 
     def test_simulate_crash_verifies_recovery(self):
         outcome = repro.simulate("COUCOPY", scale=1024, duration=0.5,
@@ -83,10 +75,40 @@ class TestFacade:
                      "SweepError", "SimulationOutcome"):
             assert hasattr(repro, name), name
 
-    def test_deprecated_alias_warns(self):
-        with pytest.warns(DeprecationWarning):
-            fn = repro.evaluate_all
-        assert callable(fn)
+    def test_plain_repro_import_does_not_warn(self):
+        # Only a fresh interpreter can observe the import itself.
+        import os
+        import pathlib
+        import subprocess
+        import sys
+        code = ("import warnings; warnings.simplefilter('error', "
+                "DeprecationWarning); import repro; print('ok')")
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
+
+    def test_facade_call_does_not_warn(self):
+        import warnings
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcome = repro.simulate("FUZZYCOPY", scale=2048, lam=100.0,
+                                     duration=0.3, seed=1)
+        assert outcome.metrics.transactions_submitted >= 0
+        assert not [w for w in caught
+                    if issubclass(w.category, DeprecationWarning)]
+
+    def test_sim_package_exports_kernel_lazily(self):
+        import repro.sim as sim
+        from repro.sim import builder as sim_builder
+        from repro.sim import system as sim_system
+        assert sim.SimulatedSystem is sim_system.SimulatedSystem
+        assert sim.SystemBuilder is sim_builder.SystemBuilder
+        assert "SimulationConfig" in dir(sim)
 
 
 class TestErrorHierarchy:

@@ -13,7 +13,7 @@ from repro.model.skew import (
     skewed_minimum_duration,
 )
 from repro.params import SystemParameters
-from repro.txn.workload import AccessDistribution, WorkloadSpec
+from repro.workload import AccessDistribution, WorkloadSpec
 
 HOTSPOT = WorkloadSpec(distribution=AccessDistribution.HOTSPOT,
                        hot_fraction=0.05, hot_probability=0.95)

@@ -274,15 +274,14 @@ def test_fault_backoff_windows_become_spans():
 def test_run_export_round_trips_spans(tmp_path):
     params = SystemParameters.scaled_down(1024, lam=150.0)
     system = build_system(params, "COUCOPY", seed=5, telemetry=True,
-                          trace=True, spans=True)
+                          spans=True)
     system.run(1.5)
     path = tmp_path / "run.jsonl"
     export_system_run(path, system, meta={"note": "spans"})
     record = load_run(path)
     assert record.spans == system.spans_snapshot()
     # A spanless run exports spans as null, distinguishably absent.
-    plain = build_system(params, "COUCOPY", seed=5, telemetry=True,
-                         trace=True)
+    plain = build_system(params, "COUCOPY", seed=5, telemetry=True)
     plain.run(0.5)
     plain_path = tmp_path / "plain.jsonl"
     export_system_run(plain_path, plain)
@@ -306,7 +305,7 @@ def test_cli_trace_reload_preserves_events_and_spans(tmp_path, capsys):
     from repro.cli import main
     out_path = tmp_path / "run.jsonl"
     assert main(["trace", "--algorithm", "2CCOPY", "--scale", "1024",
-                 "--duration", "1.0", "--spans", "--out", str(out_path),
+                 "--duration", "1.0", "--out", str(out_path),
                  "--tail", "0"]) == 0
     live = capsys.readouterr().out
 
@@ -321,13 +320,14 @@ def test_cli_trace_reload_preserves_events_and_spans(tmp_path, capsys):
         assert line in reloaded
 
 
-def test_cli_trace_load_without_spans_rejects_attribution(tmp_path, capsys):
+def test_cli_trace_load_without_spans_rejects_attribution(tmp_path):
     from repro.cli import main
+    params = SystemParameters.scaled_down(1024, lam=150.0)
+    plain = build_system(params, "FUZZYCOPY", seed=5, telemetry=True,
+                         spans=False)
+    plain.run(0.5)
     out_path = tmp_path / "plain.jsonl"
-    assert main(["trace", "--algorithm", "FUZZYCOPY", "--scale", "1024",
-                 "--duration", "0.5", "--out", str(out_path),
-                 "--tail", "0"]) == 0
-    capsys.readouterr()
+    export_system_run(out_path, plain)
     with pytest.raises(ConfigurationError):
         main(["trace", "--load", str(out_path), "--attribution"])
 
@@ -424,7 +424,7 @@ def test_metrics_report_renders_offered_vs_served_section():
 
 def _load_validator():
     spec = importlib.util.spec_from_file_location(
-        "check_bench_schema", REPO_ROOT / "scripts" / "check_bench_schema.py")
+        "check_schema", REPO_ROOT / "scripts" / "check_schema.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

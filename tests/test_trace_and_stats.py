@@ -1,4 +1,4 @@
-"""Tests for the tracer, the statistics helpers, and replication."""
+"""Tests for the lifecycle spans, the statistics helpers, and replication."""
 
 from __future__ import annotations
 
@@ -8,87 +8,52 @@ from tests.helpers import build_system
 from repro.errors import ConfigurationError
 from repro.experiments.replication import replicate, separated
 from repro.experiments.stats import SampleSummary, percentile, summarize
-from repro.sim.trace import Tracer
 
 
-class TestTracer:
-    def test_record_and_query(self):
-        tracer = Tracer()
-        tracer.record(1.0, "commit", txn_id=7)
-        tracer.record(2.0, "abort", txn_id=8, reason="two-color")
-        tracer.record(3.0, "commit", txn_id=9)
-        assert len(tracer) == 3
-        commits = tracer.of_kind("commit")
-        assert [e.txn_id for e in commits] == [7, 9]
-        assert tracer.last("abort").reason == "two-color"
-        assert tracer.kinds() == {"commit": 2, "abort": 1}
-
-    def test_between(self):
-        tracer = Tracer()
-        for t in (0.5, 1.5, 2.5):
-            tracer.record(t, "tick")
-        assert len(tracer.between(1.0, 2.0)) == 1
-
-    def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        tracer.record(1.0, "commit")
-        assert len(tracer) == 0
-        assert tracer.last() is None
-
-    def test_ring_buffer_drops_oldest(self):
-        tracer = Tracer(capacity=3)
-        for i in range(5):
-            tracer.record(float(i), "tick", seq=i)
-        assert len(tracer) == 3
-        assert tracer.dropped == 2
-        assert [e.seq for e in tracer] == [2, 3, 4]
-
-    def test_unknown_field_raises(self):
-        tracer = Tracer()
-        tracer.record(1.0, "tick")
-        with pytest.raises(AttributeError):
-            _ = tracer.last().missing_field
-
-    def test_clear(self):
-        tracer = Tracer()
-        tracer.record(1.0, "tick")
-        tracer.clear()
-        assert len(tracer) == 0 and tracer.recorded == 0
+def _events(system, name):
+    """The system's zero-duration lifecycle spans called ``name``."""
+    return [span for span in system.spans.spans if span["name"] == name]
 
 
 class TestSystemTracing:
     def test_lifecycle_events_recorded(self, tiny_params):
-        system = build_system(tiny_params, "COUCOPY", seed=3, trace=True)
-        system.run(1.0)
+        system = build_system(tiny_params, "COUCOPY", seed=3, spans=True)
+        metrics = system.run(1.0)
         system.crash()
         system.recover()
-        kinds = system.tracer.kinds()
+        kinds = system.spans.counts()
         assert kinds.get("arrival", 0) > 0
         assert kinds.get("commit", 0) > 0
+        assert kinds.get("commit") == metrics.transactions_committed
         assert kinds.get("checkpoint", 0) > 0
         assert kinds.get("crash") == 1
         assert kinds.get("recover") == 1
+        for name in ("arrival", "commit", "checkpoint", "crash", "recover"):
+            for span in _events(system, name):
+                assert span["parent"] == -1
+                assert span["end"] == span["start"]
 
     def test_tracing_off_by_default(self, tiny_params):
         system = build_system(tiny_params, "COUCOPY", seed=3)
         system.run(0.5)
-        assert len(system.tracer) == 0
+        assert len(system.spans) == 0
 
     def test_checkpoint_events_match_history(self, tiny_params):
-        system = build_system(tiny_params, "FUZZYCOPY", seed=4, trace=True)
+        system = build_system(tiny_params, "FUZZYCOPY", seed=4, spans=True)
         system.run(1.0)
-        traced = system.tracer.of_kind("checkpoint")
+        traced = _events(system, "checkpoint")
         assert len(traced) == len(system.checkpointer.history)
         for event, stats in zip(traced, system.checkpointer.history):
-            assert event.checkpoint_id == stats.checkpoint_id
-            assert event.flushed == stats.segments_flushed
+            assert event["fields"]["checkpoint_id"] == stats.checkpoint_id
+            assert event["fields"]["flushed"] == stats.segments_flushed
+            assert event["fields"]["duration"] == stats.duration
 
     def test_abort_events_for_two_color(self, small_params):
-        system = build_system(small_params, "2CCOPY", seed=5, trace=True)
+        system = build_system(small_params, "2CCOPY", seed=5, spans=True)
         system.run(2.0)
-        aborts = system.tracer.of_kind("abort")
+        aborts = _events(system, "abort")
         assert aborts
-        assert all(e.reason == "two-color" for e in aborts)
+        assert all(e["fields"]["reason"] == "two-color" for e in aborts)
 
 
 class TestSummarize:

@@ -14,13 +14,10 @@ from repro.sim.rng import RandomStreams
 from repro.sim.timestamps import TimestampAuthority
 from repro.txn.manager import TransactionManager
 from repro.txn.transaction import Transaction, TransactionState
-from repro.txn.workload import (
-    AccessDistribution,
-    WorkloadGenerator,
-    WorkloadSpec,
-)
+from repro.txn.workload import WorkloadGenerator
 from repro.wal.log import LogManager
 from repro.wal.records import CommitRecord, UpdateRecord
+from repro.workload import AccessDistribution, WorkloadSpec
 
 
 class TestTransaction:

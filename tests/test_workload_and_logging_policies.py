@@ -11,7 +11,8 @@ from repro.errors import ConfigurationError
 from repro.experiments.export import export_all
 from repro.params import SystemParameters
 from repro.sim.rng import RandomStreams
-from repro.txn.workload import WorkloadGenerator, WorkloadSpec
+from repro.txn.workload import WorkloadGenerator
+from repro.workload import WorkloadSpec
 
 
 class TestUpdateCountMix:
@@ -66,13 +67,16 @@ class TestUpdateCountMix:
         transaction (a single-record transaction cannot span colors)."""
         spec = WorkloadSpec(update_count_mix=((1, 1.0), (12, 1.0)))
         system = build_system(small_params, "2CCOPY", seed=62,
-                              workload=spec, trace=True)
+                              workload=spec, spans=True)
         system.run(4.0)
-        aborted_ids = {e.txn_id for e in system.tracer.of_kind("abort")}
+        events = system.spans.spans
+        aborted_ids = {e["fields"]["txn_id"] for e in events
+                       if e["name"] == "abort"}
         assert aborted_ids
         widths = {}
-        for event in system.tracer.of_kind("arrival"):
-            widths[event.txn_id] = None
+        for event in events:
+            if event["name"] == "arrival":
+                widths[event["fields"]["txn_id"]] = None
         # Reconstruct widths from committed/aborted transactions' records.
         for txn in system.txn_manager.committed_transactions:
             widths[txn.txn_id] = len(txn.record_ids)

@@ -5,7 +5,7 @@ bit-for-bit on every arrival time, transaction id, and record selection:
 
 1. the committed golden fixture (``tests/data/arrivals_golden.json``),
 2. the offline replay loop (:func:`repro.workload.replay.replay_arrivals`),
-3. a traced :class:`~repro.sim.host.SimHost` run consuming the stream
+3. a span-recorded :class:`~repro.sim.host.SimHost` run consuming the stream
    event by event through the discrete-event engine.
 
 ``repro live-bench`` builds its wall-clock arrival plan from the same
@@ -20,7 +20,7 @@ from pathlib import Path
 from repro.params import SystemParameters
 from repro.sim.host import SimHost
 from repro.sim.system import SimulationConfig
-from repro.txn.workload import WorkloadSpec
+from repro.workload import WorkloadSpec
 from repro.workload.replay import build_source, replay_arrivals
 
 GOLDEN = Path(__file__).parent / "data" / "arrivals_golden.json"
@@ -50,7 +50,7 @@ def test_replay_matches_committed_golden_stream():
 def test_sim_host_consumes_the_identical_stream():
     golden = _golden()
     config = SimulationConfig(params=_params(golden), seed=golden["seed"],
-                              trace=True)
+                              spans=True)
     host = SimHost(config)
     host.run(golden["horizon"])
     traced = host.arrival_log()
