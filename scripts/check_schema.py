@@ -5,8 +5,6 @@ Usage::
 
     python scripts/check_schema.py metrics metrics.json
     python scripts/check_schema.py workload [SPEC.json]
-    python scripts/check_schema.py bench BENCH_8.json [--against BENCH_7.json]
-                                                      [--tolerance FRAC]
     python scripts/check_schema.py livebench live-bench.json   # "-" = stdin
 
 The first argument names the document kind; its schema is
@@ -24,19 +22,13 @@ Beyond the structure, each kind keeps its semantic gates:
 * ``workload`` without a document validates **every registered
   scenario**: each preset's ``spec.to_dict()`` must satisfy the schema
   and survive a strict ``from_dict`` round trip unchanged;
-* ``bench``: every ``*_per_second`` rate must be positive and recovery
-  must have been oracle-verified; ``--against BASELINE.json`` also
-  diffs the rates against a prior trajectory point with
-  :func:`repro.bench.compare_bench` (``--tolerance`` overrides the
-  allowed fractional drop);
 * ``livebench``: a run that killed the server must report zero oracle
   mismatches, ``consistent: true`` and every shadow record verified,
   latency percentiles must be monotone and non-negative, and ``acked``
   may not exceed ``offered``.
 
 Every violation of every class is reported in one pass.  Exit code 0
-means valid; 1 means invalid or regressed; 2 means the inputs could not
-be read.
+means valid; 1 means invalid; 2 means the inputs could not be read.
 """
 
 from __future__ import annotations
@@ -50,7 +42,7 @@ from typing import Any, List, Optional
 _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _SRC = os.path.join(_REPO, "src")
 
-KINDS = ("metrics", "workload", "bench", "livebench")
+KINDS = ("metrics", "workload", "livebench")
 
 _TYPES = {
     "object": dict,
@@ -122,28 +114,6 @@ def validate(value: Any, schema: Any, path: str = "$",
 # semantic gates the structural schema cannot express
 # ----------------------------------------------------------------------
 
-def check_rates(payload: Any) -> List[str]:
-    """A bench point's rates must be positive and its recovery verified."""
-    errors: List[str] = []
-    results = payload.get("results")
-    if not isinstance(results, dict):
-        return errors  # the structural pass already flagged it
-    for section, entry in sorted(results.items()):
-        if not isinstance(entry, dict):
-            continue
-        for key, value in sorted(entry.items()):
-            if key.endswith("_per_second") and not (
-                    isinstance(value, (int, float)) and value > 0):
-                errors.append(
-                    f"$.results.{section}.{key}: rate must be > 0, "
-                    f"got {value!r}")
-    recovery = results.get("recovery_replay")
-    if isinstance(recovery, dict) and recovery.get("verified") is not True:
-        errors.append("$.results.recovery_replay.verified: recovery was "
-                      "not oracle-verified")
-    return errors
-
-
 def check_livebench(payload: Any) -> List[str]:
     """A live-bench report may not admit losing acknowledged data."""
     errors: List[str] = []
@@ -202,7 +172,7 @@ def check_scenarios(schema: Any) -> List[str]:
     return errors
 
 
-SEMANTIC_CHECKS = {"bench": check_rates, "livebench": check_livebench}
+SEMANTIC_CHECKS = {"livebench": check_livebench}
 
 
 def main(argv: List[str]) -> int:
@@ -214,22 +184,12 @@ def main(argv: List[str]) -> int:
                         help="the document ('-' reads stdin); optional "
                              "only for 'workload', where omitting it "
                              "checks every registered scenario")
-    parser.add_argument("--against", default=None, metavar="BASE",
-                        help="bench only: also compare rates against a "
-                             "prior bench point (exit 1 on regression)")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        metavar="T",
-                        help="bench only: allowed fractional rate drop "
-                             "for --against (default: repro.bench's)")
     args = parser.parse_args(argv)
     if args.document is None and args.kind != "workload":
         parser.error(f"{args.kind} needs a DOC to check")
-    if args.kind != "bench" and (args.against or args.tolerance is not None):
-        parser.error("--against/--tolerance apply to bench documents only")
     try:
         schema = load(schema_path(args.kind))
         document = load(args.document) if args.document else None
-        baseline = load(args.against) if args.against else None
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error reading inputs: {exc}", file=sys.stderr)
         return 2
@@ -249,17 +209,7 @@ def main(argv: List[str]) -> int:
             print(f"  {error}", file=sys.stderr)
     else:
         print(f"{label} satisfies {schema_name}")
-
-    regressions: List[str] = []
-    if baseline is not None:
-        sys.path.insert(0, _SRC)
-        from repro.bench import DEFAULT_COMPARE_TOLERANCE, compare_bench
-        tolerance = (DEFAULT_COMPARE_TOLERANCE if args.tolerance is None
-                     else args.tolerance)
-        report, regressions = compare_bench(baseline, document,
-                                            tolerance=tolerance)
-        print(report)
-    return 1 if errors or regressions else 0
+    return 1 if errors else 0
 
 
 if __name__ == "__main__":

@@ -20,9 +20,6 @@ Commands:
   file; ``--attribution`` adds the checkpoint-stall decomposition of
   tail latency, ``--chrome-out`` exports the spans as Chrome-trace JSON
   for Perfetto / ``chrome://tracing``;
-* ``bench``       -- the canonical perf harness: engine events/sec,
-  simulated txns/sec, recovery replay rate, sweep wall-clock, written
-  as the schema-validated ``BENCH_<n>.json`` trajectory point;
 * ``faults``      -- deterministic fault injection: run one fault plan
   (crash / torn writes / transient I/O) with verified recovery, or a
   seeded crash matrix over every algorithm (``--matrix N``);
@@ -281,41 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     trc.add_argument("--chrome-out", default=None, metavar="PATH",
                      help="write the span trace as Chrome-trace JSON "
                           "(loads in Perfetto / chrome://tracing)")
-
-    bench = sub.add_parser(
-        "bench",
-        help="canonical perf harness; writes the BENCH_<n>.json "
-             "trajectory point")
-    bench.add_argument("--quick", action="store_true",
-                       help="CI smoke sizes (~10x cheaper, 1 repeat)")
-    bench.add_argument("--out", default=None, metavar="PATH",
-                       help="output path (default: BENCH_<pr>.json in the "
-                            "current directory)")
-    bench.add_argument("--pr", type=int, default=None, metavar="N",
-                       help="PR ordinal stamped into the payload and the "
-                            "default filename")
-    bench.add_argument("--repeats", type=int, default=None, metavar="R",
-                       help="override the repeat count (best wall time "
-                            "is kept)")
-    bench.add_argument("--json", action="store_true",
-                       help="print the payload instead of the summary "
-                            "(the file is written either way)")
-    bench.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="sweep-stage process-pool size (committed "
-                            "trajectory points stay serial; >1 measures "
-                            "SweepRunner's pool scaling)")
-    bench.add_argument("--profile", default=None, metavar="PATH",
-                       help="also run the harness under cProfile and dump "
-                            "binary pstats to PATH (profiled walls are not "
-                            "trajectory-comparable)")
-    bench.add_argument("--compare", default=None, metavar="BASELINE.json",
-                       help="diff every rate against a prior BENCH_<n>.json "
-                            "and exit nonzero if any fell more than the "
-                            "tolerance below it")
-    bench.add_argument("--tolerance", type=float, default=None,
-                       metavar="FRAC",
-                       help="allowed fractional rate drop for --compare "
-                            "(default 0.30; CI-noise headroom)")
 
     srv = sub.add_parser(
         "serve",
@@ -666,32 +628,20 @@ def _workload_from_flags(args: argparse.Namespace):
 
 
 def _cmd_simulate(args: argparse.Namespace) -> str:
-    params = SystemParameters.scaled_down(
-        args.scale, lam=args.lam, stable_log_tail=args.stable_tail)
+    from .api import simulate
     workload = _workload_from_flags(args)
-    config_kwargs: Dict[str, Any] = {}
-    if workload is not None:
-        config_kwargs["workload"] = workload
-    config = SimulationConfig(
-        params=params, algorithm=args.algorithm, seed=args.seed,
-        policy=CheckpointPolicy(interval=args.interval),
-        preload_backup=True,
+    outcome = simulate(
+        args.algorithm, scale=args.scale, lam=args.lam, seed=args.seed,
+        duration=args.duration, interval=args.interval, crash=args.crash,
+        stable_tail=args.stable_tail, workload=workload,
         storage_backend=args.storage_backend,
         storage_dir=args.storage_dir,
         partitions=args.partitions,
         partition_policy=args.partition_policy,
-        recovery_workers=args.recovery_workers,
-        **config_kwargs)
-    if config.partitions > 1:
-        from .sim.partition import PartitionedSystem
-        system: Any = PartitionedSystem(config)
-    else:
-        # N=1 keeps the exact single-engine code path (bit-identical
-        # to a run without any partition flags).
-        system = SimulatedSystem(config)
-    metrics = system.run(args.duration)
+        recovery_workers=args.recovery_workers)
+    config, metrics = outcome.config, outcome.metrics
     lines = [
-        f"{args.algorithm} on a {params.n_segments}-segment database "
+        f"{args.algorithm} on a {config.params.n_segments}-segment database "
         f"({args.duration:.1f}s simulated, seed {args.seed})",
     ]
     if config.partitions > 1:
@@ -712,10 +662,8 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
         f"  mean response        {metrics.mean_response_time * 1e3:.2f} ms",
         f"  disk utilisation     {metrics.disk_utilisation:.0%}",
     ]
-    if args.crash:
-        system.crash()
-        result = system.recover()
-        mismatches = system.verify_recovery()
+    if outcome.crashed:
+        result = outcome.recovery
         if config.partitions > 1:
             lines.append(
                 f"  crash+recover        {result.partitions} partitions on "
@@ -731,7 +679,7 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
                 f"{result.total_time:.2f}s modelled")
         lines.append(
             "  oracle               "
-            + ("PASS" if not mismatches else f"FAIL {mismatches}"))
+            + ("PASS" if outcome.clean else f"FAIL {outcome.mismatches}"))
     return "\n".join(lines)
 
 
@@ -879,39 +827,14 @@ def _cmd_trace(args: argparse.Namespace) -> str:
     return "\n".join(out)
 
 
-def _cmd_bench(args: argparse.Namespace) -> str:
-    from .bench import (DEFAULT_COMPARE_TOLERANCE, compare_bench,
-                        render_bench, write_bench)
-    path, payload = write_bench(args.out, quick=args.quick, pr=args.pr,
-                                repeats=args.repeats, workers=args.workers,
-                                profile=args.profile)
-    print(f"bench written to {path}", file=sys.stderr)
-    if args.profile:
-        print(f"profile written to {args.profile}", file=sys.stderr)
-    out = (json.dumps(payload, sort_keys=True, indent=2) if args.json
-           else render_bench(payload))
-    if args.compare:
-        with open(args.compare, encoding="utf-8") as fp:
-            baseline = json.load(fp)
-        tolerance = (DEFAULT_COMPARE_TOLERANCE if args.tolerance is None
-                     else args.tolerance)
-        report, regressions = compare_bench(baseline, payload,
-                                            tolerance=tolerance)
-        out = out + "\n" + report
-        if regressions:
-            # the regression gate: print everything, then fail the process
-            print(out)
-            raise SystemExit(1)
-    return out
-
-
 def _faults_plan(args: argparse.Namespace) -> "FaultPlan":
     """Build the fault plan from --plan JSON or the individual flags."""
     from .faults.plan import CrashSpec, FaultPlan, IOFaultSpec
+    if args.plan == "-":
+        return FaultPlan.from_dict(json.load(sys.stdin))
     if args.plan:
-        raw = (sys.stdin.read() if args.plan == "-"
-               else open(args.plan, encoding="utf-8").read())
-        return FaultPlan.from_dict(json.loads(raw))
+        with open(args.plan, encoding="utf-8") as handle:
+            return FaultPlan.from_dict(json.load(handle))
     crash = CrashSpec(
         at_time=args.crash_at,
         after_writes=args.crash_after_writes,
@@ -1199,7 +1122,6 @@ _COMMANDS = {
     "report": _cmd_report,
     "metrics": _cmd_metrics,
     "trace": _cmd_trace,
-    "bench": _cmd_bench,
     "serve": _cmd_serve,
     "live-bench": _cmd_live_bench,
     "faults": _cmd_faults,

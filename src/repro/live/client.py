@@ -23,8 +23,8 @@ The closed loop the host-adapter refactor exists to enable:
    are the pass criteria.
 
 The emitted JSON report is validated by ``schemas/livebench.schema.json``
-(``scripts/check_schema.py livebench``) and committed benchmark runs are
-gated in CI next to ``repro bench``.
+(``scripts/check_schema.py livebench``); CI runs the loop and that check
+on every push.  Performance is measured by ``perfbench/``, not here.
 """
 
 from __future__ import annotations

@@ -25,7 +25,12 @@ Opening a :class:`DurableLog` over an existing file *repairs* a torn
 tail first: the file is truncated to the durable prefix before it is
 reopened for append, so new records can never be written onto the back
 of a partial line (which would fuse them into one undecodable line and
-lose every later record at the next restart).
+lose every later record at the next restart).  A flush whose write or
+fsync fails (a short write followed by ENOSPC, say) is undone the same
+way before the error propagates: the file is cut back to its size after
+the last successful sync and the append handle reopened, so the retried
+tail lands on a clean line boundary and no bytes buffered by the failed
+write can reach the file later.
 
 Truncation (checkpoint log reclamation) rewrites the file through the
 same temp-file + fsync + :func:`os.replace` discipline the image store
@@ -168,6 +173,9 @@ class DurableLog(LogManager):
         #: bytes of torn tail cut off an existing file before reopening
         self.repaired_bytes = self._repair_torn_tail()
         self._file = open(self.path, "ab")
+        #: file size after the last successful sync: every byte below it
+        #: is a whole, durable record line
+        self._durable_size = self._file.tell()
 
     def _repair_torn_tail(self) -> int:
         """Truncate a torn final line off an existing file.
@@ -218,9 +226,30 @@ class DurableLog(LogManager):
         fsync.
         """
         if self._tail:
-            self._file.write(b"".join(encode_record(r) for r in self._tail))
-            self._sync_file(self._file)
+            data = b"".join(encode_record(r) for r in self._tail)
+            try:
+                self._file.write(data)
+                self._sync_file(self._file)
+            except OSError:
+                self._rewind()
+                raise
+            self._durable_size += len(data)
         return super().flush()
+
+    def _rewind(self) -> None:
+        """Undo a failed flush: cut the file back to its durable size.
+
+        The tail stays queued, so the next flush writes it again whole.
+        The append handle is closed first (a failure to flush whatever
+        it still buffers is expected and ignored) and reopened after the
+        cut, so no byte of the failed write can land behind the retry.
+        """
+        try:
+            self._file.close()
+        except OSError:
+            pass
+        os.truncate(self.path, self._durable_size)
+        self._file = open(self.path, "ab")
 
     def truncate_stable_before(self, lsn: int) -> int:
         """Reclaim old records in memory *and* on disk, atomically."""
@@ -234,6 +263,7 @@ class DurableLog(LogManager):
             os.replace(tmp, self.path)
             self._sync_directory()
             self._file = open(self.path, "ab")
+            self._durable_size = self._file.tell()
         return reclaimed
 
     # -- restart -------------------------------------------------------------

@@ -7,6 +7,7 @@ logic under test is identical either way; the subprocess SIGKILL tests
 in ``test_live_smoke.py`` run with fsync on).
 """
 
+import errno
 import time
 
 import numpy as np
@@ -130,6 +131,38 @@ def test_wal_interior_corruption_fails_loudly(live_params, wal_path):
         read_wal(wal_path)
     with pytest.raises(WALCorruptionError):
         _fresh_log(live_params, wal_path)  # refuse to append after rot
+
+
+def test_wal_short_write_then_retry_keeps_every_commit(live_params, wal_path):
+    log = _fresh_log(live_params, wal_path)
+    real_write = log._file.write
+    failures = []
+
+    def short_write(data):
+        # the disk fills midway: half the tail lands, then ENOSPC
+        if failures:
+            return real_write(data)
+        failures.append(len(data))
+        real_write(data[:len(data) // 2])
+        log._file.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    log._file.write = short_write
+    log.append_update(1, 3, 42)
+    first = log.append_commit(1)
+    with pytest.raises(OSError):
+        log.flush()
+    assert failures and not log.is_stable(first.lsn)
+    # the retry appends the whole queued tail plus the next commit
+    log.append_update(2, 4, 43)
+    second = log.append_commit(2)
+    log.flush()
+    log.close()
+    records, torn = read_wal(wal_path)
+    assert not torn
+    assert [r.lsn for r in records] == [
+        first.lsn - 1, first.lsn, second.lsn - 1, second.lsn]
+    assert {r.txn_id for r in records} == {1, 2}
 
 
 def test_wal_truncation_rewrites_the_file_atomically(live_params, wal_path):

@@ -5,8 +5,8 @@ bit-for-bit on every arrival time, transaction id, and record selection:
 
 1. the committed golden fixture (``tests/data/arrivals_golden.json``),
 2. the offline replay loop (:func:`repro.workload.replay.replay_arrivals`),
-3. a span-recorded :class:`~repro.sim.host.SimHost` run consuming the stream
-   event by event through the discrete-event engine.
+3. a span-recorded :class:`~repro.sim.system.SimulatedSystem` run
+   consuming the stream event by event through the discrete-event engine.
 
 ``repro live-bench`` builds its wall-clock arrival plan from the same
 replay loop, so pinning (2) to (1) and (3) pins the live host's offered
@@ -18,8 +18,7 @@ import json
 from pathlib import Path
 
 from repro.params import SystemParameters
-from repro.sim.host import SimHost
-from repro.sim.system import SimulationConfig
+from repro.sim.system import SimulatedSystem, SimulationConfig
 from repro.workload import WorkloadSpec
 from repro.workload.replay import build_source, replay_arrivals
 
@@ -49,15 +48,15 @@ def test_replay_matches_committed_golden_stream():
 
 def test_sim_host_consumes_the_identical_stream():
     golden = _golden()
-    config = SimulationConfig(params=_params(golden), seed=golden["seed"],
-                              spans=True)
-    host = SimHost(config)
-    host.run(golden["horizon"])
-    traced = host.arrival_log()
+    system = SimulatedSystem(SimulationConfig(
+        params=_params(golden), seed=golden["seed"], spans=True))
+    system.run(golden["horizon"])
+    traced = [span for span in system.spans.spans
+              if span["name"] == "arrival"]
     assert len(traced) == len(golden["arrivals"])
     for got, want in zip(traced, golden["arrivals"]):
-        assert repr(got["time"]) == want["time"]  # bit-exact
-        assert got["txn_id"] == want["txn_id"]
+        assert repr(got["start"]) == want["time"]  # bit-exact
+        assert got["fields"]["txn_id"] == want["txn_id"]
 
 
 def test_replay_is_deterministic_and_horizon_monotone():
